@@ -1,4 +1,4 @@
-//! Regenerate every experiment table of EXPERIMENTS.md in one run:
+//! Print every experiment table (T1–T3, E4–E6, E8–E11) to stdout in one run:
 //!
 //! ```sh
 //! cargo run -p bench-harness --bin report --release

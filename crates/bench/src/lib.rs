@@ -1,9 +1,10 @@
 //! # bench-harness
 //!
 //! Shared workload builders for the Criterion benches (`benches/`) and the
-//! table-printing report binary (`src/bin/report.rs`). Each experiment in
-//! EXPERIMENTS.md maps to one function here, so the benches and the report
-//! measure exactly the same workloads.
+//! table-printing report binary (`src/bin/report.rs`). Each experiment
+//! table the `report` binary prints (T1–T3, E4–E6, E8–E11) maps to one
+//! function here, so the benches and the report measure exactly the same
+//! workloads.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -129,8 +129,8 @@ pub enum DriverRequest {
 }
 
 impl DriverRequest {
-    /// Whether identical submissions of this request may share one wire
-    /// round-trip through the driver's
+    /// Whether this request may be folded into a batched wire request
+    /// and answered by an identical pending one in the driver's
     /// [`crate::batch::BatchWindow`]. Key-addressed reads — SQL text,
     /// Entrez fetches/links, ACE fetches — are; [`DriverRequest::Call`]
     /// is not (an opaque escape hatch may have effects per invocation),
@@ -215,7 +215,7 @@ pub struct Capabilities {
     /// The driver's set-at-a-time advertisement (see
     /// [`crate::batch`]): present when the source can answer many keys
     /// in one round-trip (multi-uid Entrez fetches, SQL `IN`-lists) and
-    /// its coalescable requests should share in-flight wire round-trips.
+    /// its coalescable requests may be batched.
     /// `None` (the default) keeps every request on its own round-trip —
     /// byte-identical to the pre-batching behavior.
     pub batching: Option<BatchPolicy>,
@@ -314,10 +314,9 @@ pub struct DriverMetrics {
     /// the consecutive-failure threshold, or from half-open on a failed
     /// probe).
     pub breaker_opens: AtomicU64,
-    /// Submissions answered by attaching to an existing in-flight (or
-    /// still-warm) request in the driver's
-    /// [`crate::batch::BatchWindow`] — wire round-trips *saved* by
-    /// coalescing.
+    /// Plain submissions answered by attaching to an identical pending
+    /// batched request in the driver's [`crate::batch::BatchWindow`] —
+    /// wire round-trips *saved* by coalescing.
     pub coalesced: AtomicU64,
     /// Batched wire requests shipped by the multi-key submit path (each
     /// covers up to [`crate::batch::BatchPolicy::max_keys`] logical

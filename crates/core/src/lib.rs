@@ -17,8 +17,8 @@
 //!   transfer between drivers, the prefetch buffer, and the executor.
 //! * [`driver`] — the driver trait, request language, capabilities,
 //!   statistics, and traffic metrics.
-//! * [`batch`] — request coalescing (shared in-flight flights keyed by
-//!   request hash) and batched multi-key wire round-trips.
+//! * [`batch`] — batched multi-key wire round-trips and the window of
+//!   pending batched flights (keyed by request hash) they share.
 //! * [`pool`] — per-driver worker pools and the adaptive row-prefetch
 //!   buffer (row-pipelined execution).
 //! * [`executor`] — the shared session-level compute executor behind

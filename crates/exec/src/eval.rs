@@ -188,8 +188,9 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
             match strategy {
                 JoinStrategy::BlockedNl { block_size } => {
                     // Scan the inner relation once per block of outer
-                    // elements (I/O pattern of [Kim 80]; in memory the
-                    // result is identical to a nested loop). Equi-keys, if
+                    // elements (I/O pattern of [Kim 80]). Blocking permutes
+                    // the output order, which only lists observe: they
+                    // keep nested-loop order (blocks of one). Equi-keys, if
                     // present, are folded into the condition.
                     let cond = match (left_key, right_key) {
                         (Some(lk), Some(rk)) => Expr::and_arc(
@@ -198,7 +199,10 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
                         ),
                         _ => (**cond).clone(),
                     };
-                    let block = (*block_size).max(1);
+                    let block = match kind {
+                        CollKind::List => 1,
+                        CollKind::Set | CollKind::Bag => (*block_size).max(1),
+                    };
                     for chunk in lelems.chunks(block) {
                         for r in relems {
                             for l in chunk {
@@ -207,13 +211,6 @@ pub fn eval_rt(e: &Expr, env: &Env, ctx: &Context) -> KResult<Rt> {
                                 )?;
                             }
                         }
-                    }
-                    if matches!(kind, CollKind::List) {
-                        // Blocked scanning permutes list order; restore the
-                        // nested-loop order for lists by sorting on the
-                        // (outer, inner) indexes — cheap since we only use
-                        // blocked joins on sets/bags in practice.
-                        // (Handled by not blocking below.)
                     }
                 }
                 JoinStrategy::IndexedNl => {
@@ -744,6 +741,41 @@ mod tests {
             let got = eval(&e, &Env::empty(), &Context::new()).unwrap();
             assert_eq!(got, reference, "strategy {strategy:?}");
         }
+
+        // Lists observe order: a blocked non-equi join over lists must
+        // emit pairs in nested-loop order, whatever the block size.
+        let llist = Value::list((0..5).map(Value::Int).collect());
+        let rlist = Value::list((0..3).map(Value::Int).collect());
+        defs.insert_value("LL", llist.clone());
+        defs.insert_value("RL", rlist.clone());
+        let reference = run_with(
+            r"[| [a = l, b = r] | \l <- LL, \r <- RL, l < r + 100 |]",
+            &defs,
+        )
+        .unwrap();
+        let e = Expr::Join {
+            kind: CollKind::List,
+            strategy: JoinStrategy::BlockedNl { block_size: 4 },
+            left: Arc::new(Expr::Const(llist)),
+            right: Arc::new(Expr::Const(rlist)),
+            lvar: name("l"),
+            rvar: name("r"),
+            left_key: None,
+            right_key: None,
+            cond: Arc::new(Expr::prim(
+                Prim::Lt,
+                vec![
+                    Expr::var("l"),
+                    Expr::prim(Prim::Add, vec![Expr::var("r"), Expr::int(100)]),
+                ],
+            )),
+            body: Arc::new(Expr::single(
+                CollKind::List,
+                Expr::record(vec![("a", Expr::var("l")), ("b", Expr::var("r"))]),
+            )),
+        };
+        let got = eval(&e, &Env::empty(), &Context::new()).unwrap();
+        assert_eq!(got, reference, "blocked list join must keep nested-loop order");
     }
 
     #[test]

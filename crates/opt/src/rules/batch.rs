@@ -56,8 +56,8 @@ fn pure_local(e: &Expr) -> bool {
 /// argument expression (abstracted over `var`).
 ///
 /// `Remote` nodes carry a *static* request — every element would issue
-/// the identical wire request, which the coalescing window already
-/// folds — so they are not batch targets.
+/// the identical wire request, which batching cannot fold into fewer
+/// keys — so they are not batch targets.
 fn batch_target(e: &Expr, var: &str) -> Option<(Name, Arc<Expr>)> {
     match e {
         Expr::Cached { .. } => None,
@@ -113,7 +113,6 @@ mod tests {
     use crate::catalog::{NullCatalog, StaticCatalog};
     use crate::engine::OptConfig;
     use kleisli_core::{BatchPolicy, Capabilities, CollKind};
-    use std::time::Duration;
 
     fn run(e: Expr, catalog: &dyn crate::catalog::SourceCatalog, config: &OptConfig) -> Expr {
         let ctx = RuleCtx { catalog, config };
@@ -144,10 +143,7 @@ mod tests {
         catalog.add_driver(
             "GenBank",
             Capabilities {
-                batching: Some(BatchPolicy {
-                    max_keys,
-                    coalesce_window: Duration::ZERO,
-                }),
+                batching: Some(BatchPolicy { max_keys }),
                 ..Default::default()
             },
         );
@@ -192,8 +188,7 @@ mod tests {
     #[test]
     fn element_independent_bodies_stay_unmarked() {
         // The request does not mention the loop variable: caching
-        // territory, and batching N identical requests buys nothing the
-        // coalescing window doesn't already.
+        // territory — batching N identical requests is still one key.
         let e = Expr::ParExt {
             kind: CollKind::Set,
             var: nrc::name("x"),

@@ -6,7 +6,7 @@
 //!
 //! Batching is *advisory* by construction (warm-up pre-seeds shared
 //! flights; the loop body is unchanged and merely attaches to them), so
-//! any divergence here is a real defect in the coalescing window, the
+//! any divergence here is a real defect in the batch window, the
 //! batched reply splitting, or the warm-up's sharing discipline.
 
 use std::time::Duration;

@@ -367,12 +367,32 @@ fn dropping_a_query_over_a_wedged_driver_neither_blocks_nor_leaks_the_ticket() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched and coalesced flights under failure: a failing wire request is
-// charged to the breaker once per attempt — never once per attached
-// waiter — and every waiter resolves with the shared error.
+// Batched flights under failure: a failing wire request is charged to the
+// breaker once per attempt — never once per attached waiter — and every
+// waiter resolves with the shared error. A waiter's own deadline or
+// cancel resolves only that waiter.
 // ---------------------------------------------------------------------------
 
-use kleisli_core::{BatchPolicy, DriverRef, DriverResilience};
+use kleisli_core::{BatchPolicy, CancelToken, DriverRef, DriverResilience};
+
+fn entrez_links(uid: i64) -> DriverRequest {
+    DriverRequest::EntrezLinks {
+        db: "na".into(),
+        uid,
+    }
+}
+
+/// Count the rows of a redeemed stream, panicking on any error row.
+fn drain_rows(mut stream: BlockStream) -> usize {
+    let mut n = 0;
+    while let Some(block) = stream.next_block(64) {
+        for row in block.rows() {
+            row.as_ref().expect("no error rows");
+            n += 1;
+        }
+    }
+    n
+}
 
 #[test]
 fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_per_attempt() {
@@ -393,17 +413,9 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
             }),
             ..ResiliencePolicy::default()
         },
-        Some(BatchPolicy {
-            max_keys: 16,
-            coalesce_window: Duration::ZERO,
-        }),
+        Some(BatchPolicy { max_keys: 16 }),
     ));
-    let reqs: Vec<kleisli_core::DriverRequest> = (0..8)
-        .map(|uid| kleisli_core::DriverRequest::EntrezLinks {
-            db: "na".into(),
-            uid,
-        })
-        .collect();
+    let reqs: Vec<DriverRequest> = (0..8).map(entrez_links).collect();
     let seeds = res.submit_batch(&dref, &reqs).expect("batching advertised");
     assert_eq!(seeds.len(), 8, "one flight per distinct key");
 
@@ -439,7 +451,46 @@ fn a_failing_batched_wire_request_fails_every_key_and_charges_the_breaker_once_p
 }
 
 #[test]
-fn a_coalesced_timeout_charges_the_breaker_once_not_per_waiter() {
+fn one_waiter_cancelling_never_poisons_a_seeded_batched_flight() {
+    let drv = SlowDriver::new("SRC", 3, Duration::from_millis(1), 2);
+    drv.set_fault(Fault::NeverRespond);
+    let dref: DriverRef = drv.clone();
+    let res = Arc::new(DriverResilience::with_batching(
+        "SRC",
+        ResiliencePolicy::default(),
+        Some(BatchPolicy { max_keys: 16 }),
+    ));
+    let seeds = res
+        .submit_batch(&dref, &[entrez_links(1)])
+        .expect("batching advertised");
+    let flight = Arc::clone(&seeds[0]);
+    let cancel = Arc::new(CancelToken::new());
+    let cancelled = res.attach_seeded(&flight, None, Some(Arc::clone(&cancel)));
+    let cancelled = std::thread::spawn(move || cancelled.wait().map(drain_rows));
+    let survivors: Vec<_> = (0..2)
+        .map(|_| {
+            let h = res.attach_seeded(&flight, None, None);
+            std::thread::spawn(move || h.wait().map(drain_rows))
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(50));
+    cancel.cancel();
+    match cancelled.join().expect("waiter thread") {
+        Err(e) => assert!(e.to_string().contains("cancelled"), "got: {e}"),
+        Ok(n) => panic!("cancelled waiter must resolve with its own error, got {n} rows"),
+    }
+    assert!(!flight.is_done(), "one waiter's cancel leaves the flight pending");
+    // The surviving waiters still redeem the shared batched reply.
+    drv.release_wedged();
+    for w in survivors {
+        assert_eq!(w.join().expect("waiter thread").expect("rows"), 3);
+    }
+    assert_eq!(drv.batch_performs.load(Ordering::SeqCst), 1);
+    assert_eq!(drv.performs.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn batched_waiter_timeouts_never_charge_the_breaker_per_waiter() {
     let drv = SlowDriver::new("SRC", 3, Duration::from_millis(1), 2);
     drv.set_fault(Fault::NeverRespond);
     let dref: DriverRef = drv.clone();
@@ -453,26 +504,18 @@ fn a_coalesced_timeout_charges_the_breaker_once_not_per_waiter() {
             }),
             ..ResiliencePolicy::default()
         },
-        Some(BatchPolicy {
-            max_keys: 16,
-            coalesce_window: Duration::from_millis(500),
-        }),
+        Some(BatchPolicy { max_keys: 16 }),
     ));
-    let req = kleisli_core::DriverRequest::EntrezLinks {
-        db: "na".into(),
-        uid: 7,
-    };
+    let seeds = res
+        .submit_batch(&dref, &[entrez_links(7)])
+        .expect("batching advertised");
+    let flight = Arc::clone(&seeds[0]);
     let waiters: Vec<_> = (0..4)
         .map(|_| {
-            let res = Arc::clone(&res);
-            let dref = Arc::clone(&dref);
-            let req = req.clone();
-            std::thread::spawn(move || {
-                let h = res.submit(&dref, &req, None, None).expect("submit");
-                match h.wait() {
-                    Err(e) => e,
-                    Ok(_) => panic!("the wedged wire must time out"),
-                }
+            let h = res.attach_seeded(&flight, None, None);
+            std::thread::spawn(move || match h.wait() {
+                Err(e) => e,
+                Ok(_) => panic!("the wedged batch must time the waiter out"),
             })
         })
         .collect();
@@ -480,16 +523,18 @@ fn a_coalesced_timeout_charges_the_breaker_once_not_per_waiter() {
         let err = w.join().expect("waiter thread");
         assert!(err.is_timeout(), "expected a timeout, got: {err}");
     }
-    // One wire request timed out once; four waiter-level timeouts must
-    // not each count as a breaker failure. With a threshold of 2, a
-    // per-waiter charge would have tripped the breaker — the single
-    // wire-level charge leaves it closed.
-    assert_eq!(drv.performs.load(Ordering::SeqCst), 1, "one shared wire request");
+    // Four waiter-level timeouts must not each count as a breaker
+    // failure: with a threshold of 2, per-waiter charges would have
+    // tripped it. The wire request itself has not failed.
     let m = res.metrics_snapshot();
+    assert_eq!(m.timeouts, 4, "{m:?}");
     assert_eq!(m.breaker_opens, 0, "per-waiter breaker charges: {m:?}");
     assert_eq!(res.breaker_state(), Some(BreakerState::Closed));
-    assert!(m.timeouts >= 1, "{m:?}");
-    assert_eq!(m.coalesced, 3, "three of four submissions attached: {m:?}");
+    assert!(!flight.is_done(), "waiter timeouts leave the flight pending");
+    assert_eq!(drv.batch_performs.load(Ordering::SeqCst), 1, "one shared wire request");
     drv.release_wedged();
-    wait_until("abandoned workers to retire", || drv.pool.orphans() == 0);
+    wait_until("the batch to resolve its flight", || flight.is_done());
+    wait_until("the admission ticket to be released", || {
+        drv.gate.in_flight() == 0
+    });
 }

@@ -204,3 +204,35 @@ fn e8_join_strategies_choose_by_condition_shape() {
     });
     assert_eq!(indexed, 1, "equality predicates become index keys: {}", compiled.optimized);
 }
+
+#[test]
+fn blocked_list_joins_keep_nested_loop_order_in_run_and_query() {
+    use kleisli::StmtResult;
+    use kleisli_core::Value;
+    let mut session = Session::new();
+    session.bind_value("L", Value::list((0..5).map(Value::Int).collect()));
+    session.bind_value("R", Value::list((0..3).map(Value::Int).collect()));
+    let q = r"[| [a = l, b = r] | \l <- L, \r <- R, l < r + 100 |]";
+    let compiled = session.compile(q).expect("compile");
+    let mut blocked = 0;
+    compiled.optimized.visit(&mut |e| {
+        if let nrc::Expr::Join { strategy, .. } = e {
+            if matches!(strategy, nrc::JoinStrategy::BlockedNl { .. }) {
+                blocked += 1;
+            }
+        }
+    });
+    assert_eq!(blocked, 1, "a non-equi local join is blocked: {}", compiled.optimized);
+    let nested_loop = Value::list(
+        (0..5)
+            .flat_map(|l| {
+                (0..3).map(move |r| {
+                    Value::record_from(vec![("a", Value::Int(l)), ("b", Value::Int(r))])
+                })
+            })
+            .collect(),
+    );
+    // `query` streams the join; `run` evaluates it eagerly.
+    assert_eq!(session.query(q).expect("query"), nested_loop);
+    assert_eq!(session.run(q).expect("run"), vec![StmtResult::Value(nested_loop)]);
+}
