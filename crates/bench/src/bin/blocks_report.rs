@@ -24,7 +24,8 @@
 //!   generator at both grains; per-row body evaluation dominates there,
 //!   so the guard is only that batching never loses.
 //! * **fully-lazy guard** — `prefetch_rows = 0` must stay byte-identical
-//!   to the eager answer, prefetch nothing, and ship zero blocks
+//!   between the grain-1 view and a full-grain `eval` of the same plan,
+//!   prefetch nothing, and ship zero blocks
 //!   through the prefetch buffer: clamped-to-0 *is* the single-row
 //!   protocol.
 //!
@@ -201,7 +202,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "blocks",
-  "description": "Block pull protocol: drivers ship ValueBlocks, the pool prefetches and wakes per block, and the executor drains fused filter/project batches, versus the single-row grain-1 baseline (byte-identical by construction). Row-heavy scans overlap real per-row transfer latency across union arms; the cpu section isolates the pure-CPU batching win with no sleeps; prefetch_rows = 0 stays byte-identical to the eager answer with zero rows prefetched and zero blocks shipped.",
+  "description": "Block pull protocol: drivers ship ValueBlocks, the pool prefetches and wakes per block, and the executor drains fused filter/project batches, versus the single-row grain-1 baseline (byte-identical by construction). Row-heavy scans overlap real per-row transfer latency across union arms; the cpu section isolates the pure-CPU batching win with no sleeps; prefetch_rows = 0 stays byte-identical between the grain-1 view and a full-grain eval, with zero rows prefetched and zero blocks shipped.",
   "command": "cargo run -p bench-harness --bin blocks_report --release",
   "smoke": {smoke},
   "row_heavy_scans": {{

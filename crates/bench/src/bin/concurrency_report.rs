@@ -9,11 +9,12 @@
 //! per-request latency:
 //!
 //! * **two-source overlap** — the E13 query issues per-uid requests to
-//!   both servers. The blocking baseline submits and immediately waits on
-//!   every driver request in turn (the pre-submit/handle world, forced by
-//!   rewriting every `ParExt` to width 1 and using the eager evaluator);
-//!   the concurrent run goes through `Session::submit` → `QueryHandle`,
-//!   keeping up to each server's admission budget in flight.
+//!   both servers. The sequential baseline is a configuration, not a
+//!   second interpreter: every `ParExt` is rewritten to width 1 and the
+//!   plan is drained on the caller's thread (`Session::run_compiled`), so
+//!   the per-uid requests go out one after another. The concurrent run
+//!   goes through `Session::submit` → `QueryHandle` on the same block
+//!   pipeline, keeping up to each server's admission budget in flight.
 //! * **width scaling** — the same query at parallel widths 1/2/5: elapsed
 //!   time should fall near-linearly up to GenBank's budget of 5.
 
@@ -106,7 +107,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "concurrency",
-  "description": "Concurrency-first execution: the two-phase submit/handle driver API overlapping real per-request latency across two sources (per-uid GenBank link lookups + GDB locus lookups), versus the blocking submit-then-wait baseline at parallel width 1. Admission budgets (GDB 8, GenBank 5) are enforced by per-driver gates.",
+  "description": "Concurrency-first execution: the two-phase submit/handle driver API overlapping real per-request latency across two sources (per-uid GenBank link lookups + GDB locus lookups), versus the same block pipeline drained on the caller's thread with every parallel loop at width 1. Admission budgets (GDB 8, GenBank 5) are enforced by per-driver gates.",
   "command": "cargo run -p bench-harness --bin concurrency_report --release",
   "two_source_overlap": {{
     "query": "per-uid GenBank links + GDB locus lookup over {UIDS} uids",

@@ -18,7 +18,7 @@
 //!   pull their arms' rows concurrently and elapsed time approaches one
 //!   arm's transfer. Results are asserted identical.
 //! * **fully-lazy guard** — the `prefetch_rows = 0` path must stay
-//!   byte-identical to the eager evaluator's answer and ship zero
+//!   byte-identical to a full-grain `eval` of the same plan and ship zero
 //!   prefetched rows: the laziness contract PR 3 shipped is untouched.
 //!
 //! `--smoke` shrinks the workload and loosens the floor for CI runners.
@@ -118,7 +118,7 @@ fn main() {
     let json = format!(
         r#"{{
   "bench": "row_pipeline",
-  "description": "Row-pipelined execution: per-driver worker pools prefetch up to Capabilities::prefetch_rows rows into bounded buffers ahead of the consumer, overlapping real per-row transfer latency across union arms, versus the PR-3 lazy baseline (prefetch_rows = 0: requests overlap, rows ship on the consumer's clock). Same plan, results asserted identical; the prefetch_rows = 0 path is byte-identical to the eager answer with zero rows prefetched.",
+  "description": "Row-pipelined execution: per-driver worker pools prefetch up to Capabilities::prefetch_rows rows into bounded buffers ahead of the consumer, overlapping real per-row transfer latency across union arms, versus the PR-3 lazy baseline (prefetch_rows = 0: requests overlap, rows ship on the consumer's clock). Same plan, results asserted identical; the prefetch_rows = 0 path is byte-identical to a full-grain eval of the same plan, with zero rows prefetched.",
   "command": "cargo run -p bench-harness --bin row_pipeline_report --release",
   "smoke": {smoke},
   "row_heavy_scans": {{

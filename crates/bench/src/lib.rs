@@ -622,7 +622,7 @@ mod tests {
         let ctx = Context::new();
         let naive = eval(&join_query(l.clone(), r.clone(), None), &Env::empty(), &ctx).unwrap();
         for s in [
-            JoinStrategy::BlockedNl { block_size: 64 },
+            JoinStrategy::BlockedNl,
             JoinStrategy::IndexedNl,
         ] {
             let v = eval(

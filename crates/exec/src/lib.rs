@@ -1,14 +1,17 @@
 //! # kleisli-exec
 //!
-//! Query execution for the Kleisli reproduction:
+//! Query execution for the Kleisli reproduction. There is one evaluator:
 //!
-//! * [`mod@eval`] — the eager recursive evaluator, including the two local
-//!   join operators of Section 4 (blocked nested-loop and indexed blocked
-//!   nested-loop with an on-the-fly index), subquery caching, and the
-//!   bounded-concurrency parallel retrieval primitive.
-//! * [`stream`] — the pipelined executor providing the paper's strategic
-//!   laziness: `first_n` produces initial output without materializing
-//!   the full result.
+//! * [`stream`] — the block pipeline, the only implementation of the
+//!   collection operators: generators, unions, the two local join
+//!   operators of Section 4 (blocked nested-loop and indexed blocked
+//!   nested-loop with an on-the-fly index), the bounded-concurrency
+//!   parallel retrieval primitive, remote scans and subquery caching. It
+//!   provides the paper's strategic laziness: `first_n` produces initial
+//!   output without materializing the full result.
+//! * [`mod@eval`] — the scalar nodes (records, variants, primitives,
+//!   bindings, conditionals); a collection node is drained from the
+//!   block pipeline at full grain.
 //! * [`context`] — the driver registry, object store, and subquery cache.
 //! * [`result_cache`] — the process-wide memory-accounted single-flight
 //!   result cache shared by multi-session deployments (`kleislid`).

@@ -1,4 +1,5 @@
-//! The pipelined (lazy) executor.
+//! The block pipeline: the one implementation of NRC's collection
+//! operators.
 //!
 //! Section 4 of the paper: "each (x, y) pair in the result can be assembled
 //! by retrieving a single element x from DB and single element from the set
@@ -8,16 +9,19 @@
 //!
 //! `eval_blocks` compiles a collection-valued NRC expression into a
 //! pull-based [`BlockSource`]: generators (`Ext`), unions, conditionals,
-//! remote scans, joins and cached subqueries all stream; anything else
-//! falls back to the eager evaluator. The unit of transfer is a
-//! [`ValueBlock`] whose grain the *consumer* chooses per pull
-//! (`next_block(max_rows)`): full drains ask for
-//! [`DEFAULT_BLOCK_ROWS`]-row batches — and `Ext` generators whose body
-//! is a pure filter/projection evaluate the whole batch in one fused
-//! pass — while order-sensitive consumers (`first_n` prefix stops,
-//! set-dedup, the `Cached` tee) pull at grain 1, which is byte-identical
-//! to the single-row protocol. [`eval_stream`] is exactly that grain-1
-//! view.
+//! remote scans, both join strategies, parallel loops (`ParExt`) and cached
+//! subqueries all stream; any other node is a scalar for
+//! [`crate::eval::eval`], whose collection value is then streamed. `eval`
+//! in turn comes back here for every collection node, so a full result, a
+//! streamed query and a `first_n` prefix run the same operators and raise
+//! the same errors. The unit of transfer is a [`ValueBlock`]
+//! whose grain the *consumer* chooses per pull (`next_block(max_rows)`):
+//! full drains ask for [`DEFAULT_BLOCK_ROWS`]-row batches — and `Ext`
+//! generators whose body is a pure filter/projection evaluate the whole
+//! batch in one fused pass — while order-sensitive consumers (`first_n`
+//! prefix stops, set-dedup, the `Cached` tee) pull at grain 1, which is
+//! byte-identical to the single-row protocol. [`eval_stream`] is exactly
+//! that grain-1 view.
 //!
 //! A stream yields elements *without* final collection canonicalization
 //! (set deduplication happens only when the stream is collected), which
@@ -26,7 +30,7 @@
 //! identified as profitable. Consumers of a set-typed prefix that must
 //! not see duplicates use [`first_n_distinct`].
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use kleisli_core::{
@@ -35,9 +39,9 @@ use kleisli_core::{
 };
 use nrc::{Expr, JoinStrategy, Name};
 
-use crate::context::{request_from_value, CacheLookup, Context, PopulateTicket};
+use crate::context::{request_from_value, BatchGuard, CacheLookup, Context, PopulateTicket};
 use crate::env::{Env, Rt};
-use crate::eval::{eval, eval_parallel};
+use crate::eval::{eval, eval_rt};
 
 /// A pull-based stream of collection elements — the single-row view.
 /// [`BlockStream`] boxes iterate at grain 1, so any block stream coerces.
@@ -47,20 +51,20 @@ pub type RowStream = Box<dyn Iterator<Item = KResult<Value>> + Send>;
 /// time: the grain-1 view of [`eval_blocks`], byte-identical to the
 /// pre-block single-row executor (each pull moves at most one row, and
 /// only on demand).
-pub fn eval_stream(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<RowStream> {
+pub fn eval_stream(e: &Expr, env: &Env, ctx: &Context) -> KResult<RowStream> {
     Ok(Box::new(eval_blocks(e, env, ctx)?))
 }
 
 /// Stream the elements of a collection-valued expression as row blocks.
-pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStream> {
+pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Context) -> KResult<BlockStream> {
     match e {
         Expr::Empty(_) => Ok(blocks_of_rows(Box::new(std::iter::empty()))),
         Expr::Single(_, inner) => {
             let v = eval(inner, env, ctx)?;
             Ok(slice_blocks(Arc::new(vec![v])))
         }
-        Expr::Union(_, a, b) => {
-            let sa = eval_blocks(a, env, ctx)?;
+        Expr::Union(kind, a, b) => {
+            let sa = operand_blocks(a, *kind, "union", env, ctx)?;
             // When the right operand is a spine of remote scans on
             // drivers whose `submit` is genuinely non-blocking, building
             // its stream *now* puts those requests in flight, so the
@@ -82,24 +86,25 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
                 // falls through to the lazy path below, preserving the
                 // old guarantee that a left-arm-only consumer never sees
                 // the right arm fail.
-                if let Ok(sb) = eval_blocks(b, env, ctx) {
+                if let Ok(sb) = operand_blocks(b, *kind, "union", env, ctx) {
                     return Ok(Box::new(ChainBlocks {
                         a: Some(sa),
                         b: Some(sb),
                     }));
                 }
             }
-            let b = Arc::clone(b);
-            let env2 = env.clone();
-            let ctx2 = Arc::clone(ctx);
-            let sb = LazyBlocks::new(move || eval_blocks(&b, &env2, &ctx2));
+            let (b, kind, env2, ctx2) = (Arc::clone(b), *kind, env.clone(), ctx.clone());
+            let sb = LazyBlocks::new(move || operand_blocks(&b, kind, "union", &env2, &ctx2));
             Ok(Box::new(ChainBlocks {
                 a: Some(sa),
                 b: Some(Box::new(sb)),
             }))
         }
         Expr::Ext {
-            var, body, source, ..
+            kind,
+            var,
+            body,
+            source,
         } => {
             let src = eval_blocks(source, env, ctx)?;
             // Fused fast path: a body that is a pure projection
@@ -107,14 +112,14 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
             // evaluates a whole source batch in one pass — no per-row
             // body stream construction at all. Anything else flat-maps
             // a body block stream per source element.
-            if let Some(fused) = FusedBody::of(body) {
+            if let Some(fused) = FusedBody::of(body, *kind) {
                 return Ok(Box::new(FusedExtBlocks {
                     source: Some(src),
                     leftover: VecDeque::new(),
                     fused,
                     var: Arc::clone(var),
                     env: env.clone(),
-                    ctx: Arc::clone(ctx),
+                    ctx: ctx.clone(),
                     failed: false,
                 }));
             }
@@ -122,10 +127,11 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
                 source: Some(src),
                 src_rows: VecDeque::new(),
                 current: None,
+                kind: *kind,
                 var: Arc::clone(var),
                 body: Arc::clone(body),
                 env: env.clone(),
-                ctx: Arc::clone(ctx),
+                ctx: ctx.clone(),
                 failed: false,
             }))
         }
@@ -138,7 +144,7 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
             ))),
         },
         Expr::Let { var, def, body } => {
-            let d = crate::eval::eval_rt(def, env, ctx)?;
+            let d = eval_rt(def, env, ctx)?;
             eval_blocks(body, &env.bind(Arc::clone(var), d), ctx)
         }
         Expr::Remote { driver, request } => {
@@ -160,6 +166,7 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
             Ok(PendingBlocks::boxed(ctx.submit_resilient(driver, &req)?, ctx))
         }
         Expr::Join {
+            kind,
             strategy,
             left,
             right,
@@ -169,85 +176,83 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
             right_key,
             cond,
             body,
-            ..
         } => {
             // Materialize the inner (right) relation, stream the outer —
             // but build the outer stream *first*: its driver request (if
             // any) is then already in flight while the inner relation is
             // being collected, overlapping the two sources' round-trips.
-            let lstream = eval_blocks(left, env, ctx)?;
-            let rv: Vec<Value> = collect_rows(eval_blocks(right, env, ctx)?)?;
-            match strategy {
+            let lstream = operand_blocks(left, *kind, "join left", env, ctx)?;
+            let rv = collect_rows(operand_blocks(right, *kind, "join right", env, ctx)?)?;
+            let (inner, cond) = match strategy {
                 JoinStrategy::IndexedNl => {
                     let (Some(lk), Some(rk)) = (left_key, right_key) else {
                         return Err(KError::eval("indexed join without keys"));
                     };
-                    let mut index: std::collections::HashMap<Value, Vec<Value>> =
-                        std::collections::HashMap::new();
+                    let mut index: HashMap<Value, Vec<Value>> = HashMap::new();
                     for r in rv {
                         let env2 = env.bind(Arc::clone(rvar), Rt::Val(r.clone()));
                         let key = eval(rk, &env2, ctx)?;
                         index.entry(key).or_default().push(r);
                     }
-                    Ok(Box::new(IndexedJoinBlocks {
-                        left: lstream,
-                        index,
-                        pending: VecDeque::new(),
-                        lvar: Arc::clone(lvar),
-                        rvar: Arc::clone(rvar),
+                    let inner = JoinInner::Index {
                         left_key: Arc::clone(lk),
-                        cond: Arc::clone(cond),
-                        body: Arc::clone(body),
-                        env: env.clone(),
-                        ctx: Arc::clone(ctx),
-                        failed: false,
-                    }))
-                }
-                JoinStrategy::BlockedNl { .. } => {
-                    // Fold equi-keys into the condition; the two fresh
-                    // nodes reference the existing key/cond subplans by
-                    // Arc, so this is O(1) in plan size.
-                    let cond = match (left_key, right_key) {
-                        (Some(lk), Some(rk)) => Arc::new(Expr::and_arc(
-                            Arc::new(Expr::eq_arc(Arc::clone(lk), Arc::clone(rk))),
-                            Arc::clone(cond),
-                        )),
-                        _ => Arc::clone(cond),
+                        index,
                     };
-                    Ok(Box::new(NlJoinBlocks {
-                        left: lstream,
-                        right: rv,
-                        pending: VecDeque::new(),
-                        lvar: Arc::clone(lvar),
-                        rvar: Arc::clone(rvar),
-                        cond,
-                        body: Arc::clone(body),
-                        env: env.clone(),
-                        ctx: Arc::clone(ctx),
-                        failed: false,
-                    }))
+                    (inner, Arc::clone(cond))
                 }
-            }
+                // Nested-loop order: every outer element meets the whole
+                // inner relation before the next one is pulled. Equi-keys
+                // fold into the condition; the two fresh nodes reference
+                // the existing key/cond subplans by Arc, so this is O(1)
+                // in plan size.
+                JoinStrategy::BlockedNl => match (left_key, right_key) {
+                    (Some(lk), Some(rk)) => {
+                        let eq = Arc::new(Expr::eq_arc(Arc::clone(lk), Arc::clone(rk)));
+                        let cond = Arc::new(Expr::and_arc(eq, Arc::clone(cond)));
+                        (JoinInner::Scan(rv), cond)
+                    }
+                    _ => (JoinInner::Scan(rv), Arc::clone(cond)),
+                },
+            };
+            Ok(Box::new(JoinBlocks {
+                left: lstream,
+                inner,
+                pending: VecDeque::new(),
+                kind: *kind,
+                lvar: Arc::clone(lvar),
+                rvar: Arc::clone(rvar),
+                cond,
+                body: Arc::clone(body),
+                env: env.clone(),
+                ctx: ctx.clone(),
+                failed: false,
+            }))
         }
-        Expr::Cached { id, expr } => match ctx.cache_cell(*id).lookup_or_begin() {
-            // Hit: stream the memoized rows; no driver traffic at all.
-            CacheLookup::Hit(v) => value_blocks(&v),
-            // Re-entrant lookup (this thread is populating the same id
-            // higher up): stream the subquery directly, uncached.
-            CacheLookup::Reentrant => eval_blocks(expr, env, ctx),
-            // Miss: this consumer is the populator. When the subplan's
-            // collection kind is syntactically evident we stream the
-            // subquery lazily, teeing rows aside, and commit the canonical
-            // collection once the stream is exhausted — so `first_n` over
-            // a cached remote scan still pulls only what it needs (an
-            // abandoned prefix aborts the ticket and leaves the slot
-            // empty). The ticket rides inside the stream, keeping the
-            // single-flight guarantee of the eager path: racing
-            // evaluators block until commit or abort. The tee is
-            // order-sensitive (it must record every row that passed),
-            // so it stays a single-row operator over the grain-1 view.
-            CacheLookup::Miss(ticket) => match expr.coll_kind_hint() {
-                Some(kind) => {
+        Expr::Cached { id, expr } => {
+            // Kind unknowable from syntax: the eager arm populates the
+            // cell so the cached value is canonicalized exactly like a
+            // full evaluation, then the value streams.
+            let Some(kind) = expr.coll_kind_hint() else {
+                return value_blocks(&eval(e, env, ctx)?);
+            };
+            match ctx.cache_cell(*id).lookup_or_begin() {
+                // Hit: stream the memoized rows; no driver traffic at all.
+                CacheLookup::Hit(v) => value_blocks(&v),
+                // Re-entrant lookup (this thread is populating the same
+                // id higher up): stream the subquery directly, uncached.
+                CacheLookup::Reentrant => eval_blocks(expr, env, ctx),
+                // Miss: this consumer is the populator. Stream the
+                // subquery lazily, teeing rows aside, and commit the
+                // canonical collection once the stream is exhausted — so
+                // `first_n` over a cached remote scan still pulls only
+                // what it needs (an abandoned prefix aborts the ticket
+                // and leaves the slot empty). The ticket rides inside the
+                // stream, keeping the single-flight guarantee: racing
+                // evaluators block until commit or abort. The tee is
+                // order-sensitive (it must record every row that
+                // passed), so it stays a single-row operator over the
+                // grain-1 view.
+                CacheLookup::Miss(ticket) => {
                     // An Err here drops the ticket (abort) on the way out.
                     let inner: RowStream = Box::new(eval_blocks(expr, env, ctx)?);
                     Ok(blocks_of_rows(Box::new(CachingStream {
@@ -258,47 +263,65 @@ pub fn eval_blocks(e: &Expr, env: &Env, ctx: &Arc<Context>) -> KResult<BlockStre
                         done: false,
                     })))
                 }
-                None => {
-                    // Kind unknowable from syntax: populate eagerly so the
-                    // cached value is canonicalized exactly like the eager
-                    // evaluator's, then stream it.
-                    let v = eval(expr, env, ctx)?;
-                    ticket.commit(v.clone());
-                    value_blocks(&v)
-                }
-            },
-        },
+            }
+        }
         Expr::ParExt {
+            kind,
             var,
             body,
             source,
             max_in_flight,
             batch,
-            ..
-        } => {
-            // Chunk assembly is order-sensitive (a chunk boundary is an
-            // observable concurrency boundary), so the parallel operator
-            // keeps its single-row pull loop over the grain-1 view.
-            let src: RowStream = Box::new(eval_blocks(source, env, ctx)?);
-            Ok(blocks_of_rows(Box::new(ParChunkStream {
-                source: src,
-                buffer: Vec::new(),
-                var: Arc::clone(var),
-                body: Arc::clone(body),
-                env: env.clone(),
-                ctx: Arc::clone(ctx),
-                width: (*max_in_flight).max(1),
-                batch: batch.clone(),
-                guard: None,
-                failed: false,
-            })))
-        }
-        // Everything else: evaluate eagerly and stream the collection.
-        other => {
-            let v = eval(other, env, ctx)?;
+        } => Ok(Box::new(ParChunkBlocks {
+            source: eval_blocks(source, env, ctx)?,
+            buffer: VecDeque::new(),
+            kind: *kind,
+            var: Arc::clone(var),
+            body: Arc::clone(body),
+            env: env.clone(),
+            ctx: ctx.clone(),
+            width: (*max_in_flight).max(1),
+            batch: batch.clone(),
+            guard: None,
+            failed: false,
+        })),
+        // Everything else is a scalar node: evaluate it and stream the
+        // collection it yields.
+        other => value_blocks(&eval(other, env, ctx)?),
+    }
+}
+
+/// Stream an operand that must be a `kind` collection: a union arm, a
+/// join side, a generator body. The kind is checked against the plan
+/// where the plan shows it, and against the value otherwise.
+fn operand_blocks(
+    e: &Expr,
+    kind: CollKind,
+    what: &str,
+    env: &Env,
+    ctx: &Context,
+) -> KResult<BlockStream> {
+    match e.coll_kind_hint() {
+        Some(k) if k == kind => eval_blocks(e, env, ctx),
+        Some(k) => Err(kind_error(what, kind, k.name())),
+        None => {
+            let v = eval(e, env, ctx)?;
+            kind_elems(&v, kind, what)?;
             value_blocks(&v)
         }
     }
+}
+
+/// The elements of `v`, which must be a `kind` collection.
+fn kind_elems<'a>(v: &'a Value, kind: CollKind, what: &str) -> KResult<&'a [Value]> {
+    match v.coll_kind() {
+        Some(k) if k == kind => Ok(v.elements().expect("collection")),
+        _ => Err(kind_error(what, kind, v.kind_name())),
+    }
+}
+
+fn kind_error(what: &str, kind: CollKind, got: &str) -> KError {
+    KError::eval(format!("{what}: expected a {}, got {got}", kind.name()))
 }
 
 /// Stream the elements of an already-computed collection value without
@@ -322,8 +345,8 @@ fn slice_blocks(elems: Arc<Vec<Value>>) -> BlockStream {
     Box::new(SliceBlocks { elems, i: 0 })
 }
 
-/// Blocks over a shared element vector (cache hits, `Single`, the eager
-/// fallback). Clones elements only as they are packed.
+/// Blocks over a shared element vector (cache hits, `Single`, the value
+/// of a scalar node). Clones elements only as they are packed.
 struct SliceBlocks {
     elems: Arc<Vec<Value>>,
     i: usize,
@@ -347,22 +370,15 @@ impl BlockSource for SliceBlocks {
 /// Pull at most `n` elements from the stream of `e` — the "fast response"
 /// path. Returns the elements in arrival order. Pulls at grain 1: the
 /// prefix stop must not cause even one row more than demanded to move.
-pub fn first_n(e: &Expr, n: usize, env: &Env, ctx: &Arc<Context>) -> KResult<Vec<Value>> {
-    let mut out = Vec::with_capacity(n);
-    for item in eval_stream(e, env, ctx)? {
-        out.push(item?);
-        if out.len() >= n {
-            break;
-        }
-    }
-    Ok(out)
+pub fn first_n(e: &Expr, n: usize, env: &Env, ctx: &Context) -> KResult<Vec<Value>> {
+    eval_stream(e, env, ctx)?.take(n).collect()
 }
 
 /// [`first_n`] for *set*-typed plans: streams skip collection
 /// canonicalization (see the module docs), so a set query can yield the
 /// same element several times; here duplicates are dropped and do not
 /// count toward `n`. First-arrival order is preserved.
-pub fn first_n_distinct(e: &Expr, n: usize, env: &Env, ctx: &Arc<Context>) -> KResult<Vec<Value>> {
+pub fn first_n_distinct(e: &Expr, n: usize, env: &Env, ctx: &Context) -> KResult<Vec<Value>> {
     let mut out = Vec::with_capacity(n);
     let mut seen: HashSet<Value> = HashSet::new();
     if n == 0 {
@@ -405,8 +421,8 @@ fn collect_rows(mut stream: BlockStream) -> KResult<Vec<Value>> {
 
 /// Lazy population of a [`crate::context::CacheCell`]: passes the inner
 /// stream's rows through while teeing them aside, and commits the
-/// canonical collection (same canonicalization as the eager evaluator's
-/// `Value::collection`) when the inner stream is exhausted. Dropping the
+/// canonical collection (the same `Value::collection` as a full drain or
+/// `eval`'s eager populate) when the inner stream is exhausted. Dropping the
 /// stream early drops the ticket uncommitted, releasing the single-flight
 /// claim with the slot still empty.
 struct CachingStream {
@@ -633,16 +649,20 @@ enum FusedBody {
 }
 
 impl FusedBody {
-    fn of(body: &Expr) -> Option<FusedBody> {
+    /// The fused form of a `kind` generator's body. Bodies of another
+    /// kind take the general path, which reports the mismatch.
+    fn of(body: &Expr, kind: CollKind) -> Option<FusedBody> {
         match body {
-            Expr::Single(_, inner) => Some(FusedBody::Project {
+            Expr::Single(k, inner) if *k == kind => Some(FusedBody::Project {
                 inner: Arc::clone(inner),
             }),
             Expr::If(c, t, f) => match (t.as_ref(), f.as_ref()) {
-                (Expr::Single(_, inner), Expr::Empty(_)) => Some(FusedBody::FilterProject {
-                    cond: Arc::clone(c),
-                    inner: Arc::clone(inner),
-                }),
+                (Expr::Single(k, inner), Expr::Empty(k2)) if *k == kind && *k2 == kind => {
+                    Some(FusedBody::FilterProject {
+                        cond: Arc::clone(c),
+                        inner: Arc::clone(inner),
+                    })
+                }
                 _ => None,
             },
             _ => None,
@@ -652,7 +672,7 @@ impl FusedBody {
     /// Evaluate the body for one source element: `Ok(Some)` emits,
     /// `Ok(None)` is a filtered-out element. Error semantics match the
     /// unfused path exactly (a body-stream construction error there).
-    fn apply(&self, el: Value, var: &Name, env: &Env, ctx: &Arc<Context>) -> KResult<Option<Value>> {
+    fn apply(&self, el: Value, var: &Name, env: &Env, ctx: &Context) -> KResult<Option<Value>> {
         let env2 = env.bind(Arc::clone(var), Rt::Val(el));
         match self {
             FusedBody::Project { inner } => eval(inner, &env2, ctx).map(Some),
@@ -681,7 +701,7 @@ struct FusedExtBlocks {
     fused: FusedBody,
     var: Name,
     env: Env,
-    ctx: Arc<Context>,
+    ctx: Context,
     failed: bool,
 }
 
@@ -746,10 +766,11 @@ struct ExtBlocks {
     /// Source rows pulled but not yet expanded.
     src_rows: VecDeque<KResult<Value>>,
     current: Option<BlockStream>,
+    kind: CollKind,
     var: Name,
     body: Arc<Expr>,
     env: Env,
-    ctx: Arc<Context>,
+    ctx: Context,
     failed: bool,
 }
 
@@ -795,7 +816,14 @@ impl BlockSource for ExtBlocks {
                 }
                 Some(Ok(el)) => {
                     let env2 = self.env.bind(Arc::clone(&self.var), Rt::Val(el));
-                    match eval_blocks(&self.body, &env2, &self.ctx) {
+                    let body = operand_blocks(
+                        &self.body,
+                        self.kind,
+                        "comprehension body",
+                        &env2,
+                        &self.ctx,
+                    );
+                    match body {
                         Ok(s) => self.current = Some(s),
                         Err(e) => {
                             self.failed = true;
@@ -809,12 +837,12 @@ impl BlockSource for ExtBlocks {
 }
 
 /// Pull a single row off a block stream (grain-1 helper for the join
-/// operators' outer side, which expands one outer element at a time).
+/// and parallel operators, which expand one outer element at a time).
 fn next_row(s: &mut BlockStream) -> Option<KResult<Value>> {
     s.next_block(1).and_then(|b| b.into_rows().next())
 }
 
-/// Drain up to `max` pending join results into one block.
+/// Drain up to `max` pending results into one block.
 fn drain_pending(pending: &mut VecDeque<Value>, max: usize) -> ValueBlock {
     let k = max.max(1).min(pending.len());
     let mut b = ValueBlock::with_capacity(k);
@@ -824,101 +852,68 @@ fn drain_pending(pending: &mut VecDeque<Value>, max: usize) -> ValueBlock {
     b
 }
 
-/// Streaming nested-loop join: outer side streams, inner side materialized.
-struct NlJoinBlocks {
+/// The materialized inner side of a join.
+enum JoinInner {
+    /// Nested loop: every outer element scans the whole inner relation.
+    Scan(Vec<Value>),
+    /// Indexed nested loop: an index built on the fly over the inner
+    /// relation, probed with each outer element's key.
+    Index {
+        left_key: Arc<Expr>,
+        index: HashMap<Value, Vec<Value>>,
+    },
+}
+
+/// Streaming join: the outer side streams, the inner side is
+/// materialized; output keeps nested-loop order.
+struct JoinBlocks {
     left: BlockStream,
-    right: Vec<Value>,
+    inner: JoinInner,
     pending: VecDeque<Value>,
+    kind: CollKind,
     lvar: Name,
     rvar: Name,
     cond: Arc<Expr>,
     body: Arc<Expr>,
     env: Env,
-    ctx: Arc<Context>,
+    ctx: Context,
     failed: bool,
 }
 
-impl NlJoinBlocks {
+impl JoinBlocks {
     fn emit_for(&mut self, l: Value) -> KResult<()> {
-        for r in &self.right {
-            let env2 = self
-                .env
-                .bind(Arc::clone(&self.lvar), Rt::Val(l.clone()))
-                .bind(Arc::clone(&self.rvar), Rt::Val(r.clone()));
-            if let Value::Bool(true) = eval(&self.cond, &env2, &self.ctx)? {
-                let piece = eval(&self.body, &env2, &self.ctx)?;
-                let es = piece
-                    .elements()
-                    .ok_or_else(|| KError::eval("join body must yield a collection"))?;
-                self.pending.extend(es.iter().cloned());
-            }
-        }
-        Ok(())
-    }
-}
-
-impl BlockSource for NlJoinBlocks {
-    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            if !self.pending.is_empty() {
-                return Some(drain_pending(&mut self.pending, max_rows));
-            }
-            match next_row(&mut self.left)? {
-                Err(e) => {
-                    self.failed = true;
-                    return Some(ValueBlock::of_err(e));
-                }
-                Ok(l) => {
-                    if let Err(e) = self.emit_for(l) {
-                        self.failed = true;
-                        return Some(ValueBlock::of_err(e));
-                    }
+        let lenv = self.env.bind(Arc::clone(&self.lvar), Rt::Val(l));
+        let matches: &[Value] = match &self.inner {
+            JoinInner::Scan(right) => right,
+            JoinInner::Index { left_key, index } => {
+                match index.get(&eval(left_key, &lenv, &self.ctx)?) {
+                    Some(m) => m,
+                    None => return Ok(()),
                 }
             }
-        }
-    }
-}
-
-/// Streaming indexed join: probes a prebuilt hash index per outer element.
-struct IndexedJoinBlocks {
-    left: BlockStream,
-    index: std::collections::HashMap<Value, Vec<Value>>,
-    pending: VecDeque<Value>,
-    lvar: Name,
-    rvar: Name,
-    left_key: Arc<Expr>,
-    cond: Arc<Expr>,
-    body: Arc<Expr>,
-    env: Env,
-    ctx: Arc<Context>,
-    failed: bool,
-}
-
-impl IndexedJoinBlocks {
-    fn emit_for(&mut self, l: Value) -> KResult<()> {
-        let lenv = self.env.bind(Arc::clone(&self.lvar), Rt::Val(l.clone()));
-        let key = eval(&self.left_key, &lenv, &self.ctx)?;
-        let Some(matches) = self.index.get(&key) else {
-            return Ok(());
         };
-        for r in matches.clone() {
-            let env2 = lenv.bind(Arc::clone(&self.rvar), Rt::Val(r));
-            if let Value::Bool(true) = eval(&self.cond, &env2, &self.ctx)? {
-                let piece = eval(&self.body, &env2, &self.ctx)?;
-                let es = piece
-                    .elements()
-                    .ok_or_else(|| KError::eval("join body must yield a collection"))?;
-                self.pending.extend(es.iter().cloned());
+        for r in matches {
+            let env2 = lenv.bind(Arc::clone(&self.rvar), Rt::Val(r.clone()));
+            match eval(&self.cond, &env2, &self.ctx)? {
+                Value::Bool(true) => {
+                    let piece = eval(&self.body, &env2, &self.ctx)?;
+                    let es = kind_elems(&piece, self.kind, "join body")?;
+                    self.pending.extend(es.iter().cloned());
+                }
+                Value::Bool(false) => {}
+                other => {
+                    return Err(KError::eval(format!(
+                        "join condition must be bool, got {}",
+                        other.kind_name()
+                    )))
+                }
             }
         }
         Ok(())
     }
 }
 
-impl BlockSource for IndexedJoinBlocks {
+impl BlockSource for JoinBlocks {
     fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
         if self.failed {
             return None;
@@ -927,17 +922,13 @@ impl BlockSource for IndexedJoinBlocks {
             if !self.pending.is_empty() {
                 return Some(drain_pending(&mut self.pending, max_rows));
             }
-            match next_row(&mut self.left)? {
-                Err(e) => {
-                    self.failed = true;
-                    return Some(ValueBlock::of_err(e));
-                }
-                Ok(l) => {
-                    if let Err(e) = self.emit_for(l) {
-                        self.failed = true;
-                        return Some(ValueBlock::of_err(e));
-                    }
-                }
+            let step = match next_row(&mut self.left)? {
+                Ok(l) => self.emit_for(l),
+                Err(e) => Err(e),
+            };
+            if let Err(e) = step {
+                self.failed = true;
+                return Some(ValueBlock::of_err(e));
             }
         }
     }
@@ -945,14 +936,17 @@ impl BlockSource for IndexedJoinBlocks {
 
 /// Streaming bounded-parallel `Ext`: pulls a chunk of `width` source
 /// elements, evaluates their bodies concurrently, yields the union, then
-/// pulls the next chunk. Concurrency never exceeds `width`.
-struct ParChunkStream {
-    source: RowStream,
-    buffer: Vec<Value>,
+/// pulls the next chunk. Concurrency never exceeds `width`. Chunk
+/// assembly is order-sensitive (a chunk boundary is an observable
+/// concurrency boundary), so the source is pulled one row at a time.
+struct ParChunkBlocks {
+    source: BlockStream,
+    buffer: VecDeque<Value>,
+    kind: CollKind,
     var: Name,
     body: Arc<Expr>,
     env: Env,
-    ctx: Arc<Context>,
+    ctx: Context,
     width: usize,
     /// The optimizer's batching mark: assemble chunks at the driver's
     /// key-per-request grain (never below `width`) and warm each one up
@@ -961,69 +955,145 @@ struct ParChunkStream {
     batch: Option<nrc::BatchSpec>,
     /// The current chunk's seeded flights; replaced (and the previous
     /// chunk's seeds released) at each warm-up.
-    guard: Option<crate::context::BatchGuard>,
+    guard: Option<BatchGuard>,
     failed: bool,
 }
 
-impl Iterator for ParChunkStream {
-    type Item = KResult<Value>;
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
+impl ParChunkBlocks {
+    /// Evaluate the next chunk into `buffer`; `Ok(false)` once the source
+    /// is exhausted.
+    fn fill(&mut self) -> KResult<bool> {
         let grain = match &self.batch {
             Some(spec) => self.width.max(spec.max_keys),
             None => self.width,
         };
-        loop {
-            if !self.buffer.is_empty() {
-                return Some(Ok(self.buffer.remove(0)));
+        let mut chunk = Vec::with_capacity(grain);
+        while chunk.len() < grain {
+            match next_row(&mut self.source) {
+                Some(row) => chunk.push(row?),
+                None => break,
             }
-            let mut chunk = Vec::with_capacity(grain);
-            for item in self.source.by_ref() {
-                match item {
-                    Err(e) => {
-                        self.failed = true;
-                        return Some(Err(e));
-                    }
-                    Ok(v) => {
-                        chunk.push(v);
-                        if chunk.len() >= grain {
-                            break;
-                        }
-                    }
-                }
-            }
-            if chunk.is_empty() {
-                return None;
-            }
-            if let Some(spec) = &self.batch {
-                self.guard =
-                    crate::eval::warm_up_batch(spec, &chunk, &self.var, &self.env, &self.ctx);
-            }
-            match eval_parallel(
-                &chunk, &self.var, &self.body, &self.env, &self.ctx, self.width,
-            ) {
+        }
+        if chunk.is_empty() {
+            return Ok(false);
+        }
+        if let Some(spec) = &self.batch {
+            self.guard = warm_up_batch(spec, &chunk, &self.var, &self.env, &self.ctx);
+        }
+        let pieces = eval_parallel(
+            &chunk, &self.var, &self.body, &self.env, &self.ctx, self.width,
+        )?;
+        for piece in &pieces {
+            let es = kind_elems(piece, self.kind, "comprehension body")?;
+            self.buffer.extend(es.iter().cloned());
+        }
+        Ok(true)
+    }
+}
+
+impl BlockSource for ParChunkBlocks {
+    fn next_block(&mut self, max_rows: usize) -> Option<ValueBlock> {
+        if self.failed {
+            return None;
+        }
+        while self.buffer.is_empty() {
+            match self.fill() {
+                Ok(true) => {}
+                Ok(false) => return None,
                 Err(e) => {
                     self.failed = true;
-                    return Some(Err(e));
-                }
-                Ok(pieces) => {
-                    for piece in pieces {
-                        match piece.elements() {
-                            Some(es) => self.buffer.extend_from_slice(es),
-                            None => {
-                                self.failed = true;
-                                return Some(Err(KError::eval(
-                                    "parallel body must yield a collection",
-                                )));
-                            }
-                        }
-                    }
+                    return Some(ValueBlock::of_err(e));
                 }
             }
         }
+        Some(drain_pending(&mut self.buffer, max_rows))
     }
+}
+
+/// The batching warm-up for a marked `ParExt`: evaluate the spec's
+/// request argument for every source element (it is pure-local by the
+/// optimizer's construction, so this duplicates no driver effects),
+/// and ship the distinct requests as a few multi-key wire round-trips
+/// via [`Context::submit_batch`]. Any surprise — an argument that fails
+/// to evaluate, a non-request value, too few distinct keys, a driver
+/// without batching — skips the warm-up entirely and returns `None`:
+/// the per-element path then behaves exactly as unbatched, surfacing
+/// its own errors in their usual place.
+fn warm_up_batch(
+    spec: &nrc::BatchSpec,
+    elems: &[Value],
+    var: &nrc::Name,
+    env: &Env,
+    ctx: &Context,
+) -> Option<BatchGuard> {
+    if elems.len() < spec.min_keys.max(1) {
+        return None;
+    }
+    let mut reqs = Vec::with_capacity(elems.len());
+    for el in elems {
+        let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
+        let v = eval(&spec.arg, &env2, ctx).ok()?;
+        reqs.push(request_from_value(&v).ok()?);
+    }
+    let mut distinct = 0usize;
+    for (i, r) in reqs.iter().enumerate() {
+        if !reqs[..i].contains(r) {
+            distinct += 1;
+        }
+    }
+    if distinct < spec.min_keys.max(1) {
+        return None;
+    }
+    ctx.submit_batch(&spec.driver, &reqs).ok().flatten()
+}
+
+/// Evaluate `body` for every element of `elems`, at most `max_in_flight`
+/// at a time, preserving element order in the result. This is the
+/// parallel-retrieval primitive of Section 4 ("Laziness, Latency, and
+/// Concurrency"): requests to remote servers overlap, but no more than the
+/// server's tolerated number run at once.
+///
+/// Each chunk runs as a batch on the context's shared
+/// [`kleisli_core::Executor`] — tasks own cheap clones of the body
+/// `Arc`, the environment, and the context handle, so no OS thread is
+/// ever created per element. The submitting thread helps drain its own
+/// batch, which both caps in-flight work at `max_in_flight` and keeps
+/// nested parallel loops deadlock-free on the bounded pool (see
+/// `kleisli_core::executor`). A task that panics surfaces as an
+/// evaluation error, and an error stops later chunks from being
+/// submitted at all.
+fn eval_parallel(
+    elems: &[Value],
+    var: &nrc::Name,
+    body: &Arc<Expr>,
+    env: &Env,
+    ctx: &Context,
+    max_in_flight: usize,
+) -> KResult<Vec<Value>> {
+    let width = max_in_flight.max(1);
+    if width == 1 || elems.len() <= 1 {
+        return elems
+            .iter()
+            .map(|el| eval(body, &env.bind(Arc::clone(var), Rt::Val(el.clone())), ctx))
+            .collect();
+    }
+    let mut out = Vec::with_capacity(elems.len());
+    for chunk in elems.chunks(width) {
+        let tasks: Vec<Box<dyn FnOnce() -> KResult<Value> + Send>> = chunk
+            .iter()
+            .map(|el| {
+                let env2 = env.bind(Arc::clone(var), Rt::Val(el.clone()));
+                let body = Arc::clone(body);
+                let ctx = ctx.clone();
+                Box::new(move || eval(&body, &env2, &ctx))
+                    as Box<dyn FnOnce() -> KResult<Value> + Send>
+            })
+            .collect();
+        for r in ctx.executor().run_all(tasks) {
+            out.push(r.unwrap_or_else(|| Err(KError::eval("worker thread panicked")))?);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1120,11 +1190,12 @@ mod tests {
             ),
             remote_scan(),
         );
+        let expected = Value::set((0..50).step_by(2).map(Value::Int).collect());
         let eager = eval(&e, &Env::empty(), &ctx).unwrap();
         let streamed =
             collect_stream(eval_stream(&e, &Env::empty(), &ctx).unwrap(), CollKind::Set).unwrap();
-        assert_eq!(eager, streamed);
-        assert_eq!(eager.len(), Some(25));
+        assert_eq!(eager, expected);
+        assert_eq!(streamed, expected);
     }
 
     #[test]
@@ -1244,10 +1315,15 @@ mod tests {
                 ("b", Expr::proj(Expr::var("r"), "b")),
             ]),
         );
-        for strategy in [
-            JoinStrategy::BlockedNl { block_size: 8 },
-            JoinStrategy::IndexedNl,
-        ] {
+        // The literal answer: pairs whose keys agree.
+        let expected = Value::set(
+            (0..20)
+                .flat_map(|a: i64| (0..15).map(move |b: i64| (a, b)))
+                .filter(|(a, b)| a % 4 == b % 3)
+                .map(|(a, b)| Value::record_from(vec![("a", Value::Int(a)), ("b", Value::Int(b))]))
+                .collect(),
+        );
+        for strategy in [JoinStrategy::BlockedNl, JoinStrategy::IndexedNl] {
             let e = Expr::Join {
                 kind: CollKind::Set,
                 strategy,
@@ -1271,8 +1347,43 @@ mod tests {
             let blocked =
                 collect_blocks(eval_blocks(&e, &Env::empty(), &ctx).unwrap(), CollKind::Set)
                     .unwrap();
-            assert_eq!(eager, streamed);
-            assert_eq!(eager, blocked);
+            assert_eq!(eager, expected);
+            assert_eq!(streamed, expected);
+            assert_eq!(blocked, expected);
+        }
+    }
+
+    #[test]
+    fn non_bool_join_conditions_are_errors() {
+        // A hand-built join whose condition is the integer 1: every path
+        // (full evaluation, a streamed drain, a prefix) must report an
+        // `Eval` error rather than treat the pair as filtered out.
+        let side = Expr::Const(Value::set(
+            (0..3)
+                .map(|i| Value::record_from(vec![("k", Value::Int(i))]))
+                .collect(),
+        ));
+        for strategy in [JoinStrategy::BlockedNl, JoinStrategy::IndexedNl] {
+            let e = Expr::Join {
+                kind: CollKind::Set,
+                strategy: strategy.clone(),
+                left: Arc::new(side.clone()),
+                right: Arc::new(side.clone()),
+                lvar: name("l"),
+                rvar: name("r"),
+                left_key: Some(Arc::new(Expr::proj(Expr::var("l"), "k"))),
+                right_key: Some(Arc::new(Expr::proj(Expr::var("r"), "k"))),
+                cond: Arc::new(Expr::int(1)),
+                body: Arc::new(Expr::single(CollKind::Set, Expr::var("l"))),
+            };
+            let ctx = Context::new();
+            let is_eval = |r: KResult<Value>| matches!(r, Err(KError::Eval(_)));
+            assert!(is_eval(eval(&e, &Env::empty(), &ctx)), "{strategy:?}: eval");
+            let drained =
+                collect_stream(eval_stream(&e, &Env::empty(), &ctx).unwrap(), CollKind::Set);
+            assert!(is_eval(drained), "{strategy:?}: eval_stream");
+            let prefix = first_n(&e, 1, &Env::empty(), &ctx).map(Value::set);
+            assert!(is_eval(prefix), "{strategy:?}: first_n");
         }
     }
 
@@ -1298,13 +1409,15 @@ mod tests {
             source: Arc::new(src),
         };
         let ctx = Arc::new(Context::new());
+        let expected = Value::set((100..130).map(Value::Int).collect());
         let a = collect_stream(
             eval_stream(&par, &Env::empty(), &ctx).unwrap(),
             CollKind::Set,
         )
         .unwrap();
         let b = eval(&seq, &Env::empty(), &ctx).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(a, expected);
+        assert_eq!(b, expected);
     }
 
     #[test]

@@ -130,8 +130,9 @@ fn abandoned_prefix_leaves_cell_empty_then_full_stream_populates() {
 
 #[test]
 fn streamed_and_eager_cached_values_are_identical() {
-    // The value the streaming populator commits must canonicalize exactly
-    // like the eager evaluator's, so mixed executors can share a cell.
+    // The value the streaming tee commits must canonicalize exactly like
+    // the eager populate of `eval`'s `Cached` arm, so both populators
+    // can share a cell.
     let (ctx_stream, ..) = counting_ctx(20);
     let (ctx_eager, ..) = counting_ctx(20);
     let e = cached_scan(3);
@@ -141,8 +142,11 @@ fn streamed_and_eager_cached_values_are_identical() {
     )
     .unwrap();
     let eager = eval(&e, &Env::empty(), &ctx_eager).unwrap();
-    assert_eq!(streamed, eager);
-    assert_eq!(ctx_stream.cache_get(3), ctx_eager.cache_get(3));
+    let expected = Value::set((0..20).map(Value::Int).collect());
+    assert_eq!(streamed, expected);
+    assert_eq!(eager, expected);
+    assert_eq!(ctx_stream.cache_get(3), Some(expected.clone()));
+    assert_eq!(ctx_eager.cache_get(3), Some(expected));
 }
 
 #[test]

@@ -144,9 +144,9 @@ fn nested_par_ext_completes_on_a_one_worker_executor() {
 
 #[test]
 fn union_arms_overlap_their_round_trips() {
-    // Two sources, 60 ms per request. Blocking both sequentially costs
-    // ~120 ms; the streaming executor submits the right arm while the
-    // left is in flight, so the whole union costs ~one round-trip.
+    // Two sources, 60 ms per request. Collecting one arm after the other
+    // costs ~120 ms; the streaming executor submits the right arm while
+    // the left is in flight, so the whole union costs ~one round-trip.
     let delay = Duration::from_millis(60);
     let a = SlowDriver::new("A", 3, delay, 2);
     let b = SlowDriver::new("B", 3, delay, 2);
@@ -165,11 +165,14 @@ fn union_arms_overlap_their_round_trips() {
     .unwrap();
     let concurrent = t0.elapsed();
 
+    // Sequential baseline: arm A to completion, then arm B.
     let t0 = Instant::now();
-    let eager = eval(&e, &Env::empty(), &ctx).unwrap();
+    let arm_a = eval(&wrap_ext(scan("A")), &Env::empty(), &ctx).unwrap();
+    let arm_b = eval(&wrap_ext(scan("B")), &Env::empty(), &ctx).unwrap();
     let blocking = t0.elapsed();
 
-    assert_eq!(streamed, eager);
+    let sequential = Value::set([arm_a.elements().unwrap(), arm_b.elements().unwrap()].concat());
+    assert_eq!(streamed, sequential);
     assert!(
         concurrent < blocking,
         "overlapped union ({concurrent:?}) must beat sequential ({blocking:?})"

@@ -187,9 +187,10 @@ struct QueryShared {
 ///   admission ticket is leaked.
 ///
 /// Cancellation granularity: a request already running inside a driver
-/// finishes on its worker (its result is thrown away); plans that fall
-/// back to the eager evaluator check the flag only between driver
-/// round-trips of the streaming spine, i.e. cancellation is cooperative,
+/// finishes on its worker (its result is thrown away); plans whose root
+/// is not visibly a collection (e.g. `sum({..})`) run the same block
+/// pipeline to completion and check the flag only at the block
+/// boundaries of its remote scans, i.e. cancellation is cooperative,
 /// not preemptive.
 ///
 /// ```
@@ -229,8 +230,8 @@ impl QueryHandle {
         deadline: Option<Duration>,
     ) -> QueryHandle {
         // The same kind/dedup decisions as the synchronous query paths:
-        // stream when the plan's collection kind is syntactically
-        // evident, else fall back to the eager evaluator on the worker.
+        // stream rows into the handle when the plan's collection kind is
+        // syntactically evident, else evaluate the root on the worker.
         let kind = compiled.optimized.coll_kind_hint();
         let dedup = match &compiled.ty {
             Type::Coll(k, _) => *k == CollKind::Set,
@@ -265,7 +266,8 @@ impl QueryHandle {
     }
 
     /// The worker body: stream rows into the shared state when the plan
-    /// is collection-shaped, eagerly evaluate otherwise.
+    /// is collection-shaped; otherwise evaluate the root, whose
+    /// collection nodes drain the same block pipeline.
     fn run(
         shared: &Arc<QueryShared>,
         compiled: &Compiled,
@@ -274,7 +276,7 @@ impl QueryHandle {
     ) -> KResult<Value> {
         let Some(kind) = kind else {
             // Not visibly a collection: no row-granular progress (and no
-            // row-granular cancellation) to offer.
+            // row-granular cancellation) to offer at the root.
             return eval(&compiled.optimized, &Env::empty(), ctx);
         };
         let stream = eval_stream(&compiled.optimized, &Env::empty(), ctx)?;
@@ -391,10 +393,11 @@ impl QueryHandle {
             };
             match result {
                 Some(Ok(v)) => {
-                    // Serve the prefix from the final value: the eager
-                    // fallback, and the streaming worker's completion
-                    // path (whose collection holds every streamed row,
-                    // superseding whatever snapshot we took above).
+                    // Serve the prefix from the final value: a root that
+                    // is not visibly a collection, and the streaming
+                    // worker's completion path (whose collection holds
+                    // every streamed row, superseding whatever snapshot
+                    // we took above).
                     return match v.elements() {
                         Some(es) => Ok(if self.dedup {
                             distinct_prefix(es, n)
@@ -948,10 +951,11 @@ impl Session {
         self.submit(src)?.wait()
     }
 
-    /// Evaluate an already-compiled query with the *blocking* evaluator:
-    /// every driver request is submitted and immediately waited on, one
-    /// at a time. This is the sequential baseline the concurrency bench
-    /// compares against (and what `run` uses for program statements).
+    /// Evaluate an already-compiled query on the caller's thread. It runs
+    /// the same block pipeline as [`Session::query`], drained at full
+    /// grain, without a worker task or a row-streaming handle; the
+    /// concurrency bench uses it as its single-thread baseline, and
+    /// `run` uses it for program statements.
     pub fn run_compiled(&self, compiled: &Compiled) -> KResult<Value> {
         self.ctx.cache_clear();
         eval(&compiled.optimized, &Env::empty(), &self.ctx)

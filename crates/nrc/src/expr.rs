@@ -91,9 +91,10 @@ pub fn fresh(prefix: &str) -> Name {
 /// Strategy chosen for a local join by the join rule set.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum JoinStrategy {
-    /// Blocked nested-loop join [Kim 80]: the inner collection is scanned
-    /// once per block of outer elements.
-    BlockedNl { block_size: usize },
+    /// Nested-loop join in the spirit of the blocked join of [Kim 80]:
+    /// the inner collection is materialized once and scanned per outer
+    /// element, so the output keeps nested-loop order.
+    BlockedNl,
     /// Indexed blocked nested-loop join (a variation of the hashed-loop
     /// join of [Nakayama et al. 88]): an index is built on the fly over the
     /// inner collection, keyed by `right_key`; outer elements probe it with

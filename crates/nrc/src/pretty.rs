@@ -156,7 +156,7 @@ pub fn write_expr(f: &mut fmt::Formatter<'_>, e: &Expr, depth: usize) -> fmt::Re
             ..
         } => {
             let tag = match strategy {
-                JoinStrategy::BlockedNl { block_size } => format!("BLOCKED-NL-JOIN[b={block_size}]"),
+                JoinStrategy::BlockedNl => "BLOCKED-NL-JOIN".to_string(),
                 JoinStrategy::IndexedNl => "INDEXED-NL-JOIN".to_string(),
             };
             write!(f, "{tag}(\\{lvar} <- ")?;

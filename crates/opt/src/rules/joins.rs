@@ -82,9 +82,7 @@ fn local_join(e: &Expr, ctx: &RuleCtx<'_>) -> Option<Expr> {
         .unwrap_or_else(|| Expr::bool(true));
     let (strategy, lk, rk, cond) = if left_keys.is_empty() {
         (
-            JoinStrategy::BlockedNl {
-                block_size: ctx.config.join_block_size,
-            },
+            JoinStrategy::BlockedNl,
             None,
             None,
             Arc::clone(cond),
@@ -256,7 +254,7 @@ mod tests {
         let opt = run(e);
         match &opt {
             Expr::Join { strategy, .. } => {
-                assert!(matches!(strategy, JoinStrategy::BlockedNl { .. }))
+                assert!(matches!(strategy, JoinStrategy::BlockedNl))
             }
             other => panic!("no join operator introduced: {other}"),
         }

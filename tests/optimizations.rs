@@ -217,7 +217,7 @@ fn blocked_list_joins_keep_nested_loop_order_in_run_and_query() {
     let mut blocked = 0;
     compiled.optimized.visit(&mut |e| {
         if let nrc::Expr::Join { strategy, .. } = e {
-            if matches!(strategy, nrc::JoinStrategy::BlockedNl { .. }) {
+            if matches!(strategy, nrc::JoinStrategy::BlockedNl) {
                 blocked += 1;
             }
         }
